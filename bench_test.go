@@ -3,17 +3,14 @@ package onion_test
 // One benchmark per table and figure of the paper (scaled-down parameters
 // so `go test -bench=.` terminates quickly; run cmd/onionbench without
 // -quick for paper-scale numbers) plus micro-benchmarks for the curve
-// mappings, the clustering counters, range decomposition and the B+-tree.
+// mappings, the clustering counters and range decomposition.
 
 import (
 	"testing"
 
 	onion "github.com/onioncurve/onion"
-	"github.com/onioncurve/onion/internal/bptree"
 	"github.com/onioncurve/onion/internal/cluster"
 	"github.com/onioncurve/onion/internal/experiments"
-	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/workload"
 )
 
 var benchCfg = experiments.Config{Quick: true, Seed: 1, Side2D: 128, Side3D: 32, Samples2D: 20, Samples3D: 8}
@@ -365,56 +362,4 @@ func BenchmarkDecompose(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkBPTree(b *testing.B) {
-	b.Run("insert", func(b *testing.B) {
-		tr, _ := bptree.New(64)
-		for i := 0; i < b.N; i++ {
-			tr.Insert(uint64(i*2654435761)%1_000_000, uint64(i))
-		}
-	})
-	b.Run("get", func(b *testing.B) {
-		tr, _ := bptree.New(64)
-		for i := 0; i < 100_000; i++ {
-			tr.Insert(uint64(i), uint64(i))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.Get(uint64(i) % 100_000)
-		}
-	})
-	b.Run("rangescan1000", func(b *testing.B) {
-		tr, _ := bptree.New(64)
-		for i := 0; i < 100_000; i++ {
-			tr.Insert(uint64(i), uint64(i))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lo := uint64(i) % 99_000
-			tr.RangeScan(lo, lo+999, func(k, v uint64) bool { return true })
-		}
-	})
-}
-
-func BenchmarkIndexQuery(b *testing.B) {
-	u := geom.MustUniverse(2, 512)
-	pts, err := workload.ClusteredPoints(u, 5, 50_000, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	o, _ := onion.NewOnion2D(512)
-	ix, _ := onion.NewIndex(o)
-	for _, p := range pts {
-		if _, err := ix.Insert(onion.Point(p)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q, _ := onion.RectAt(onion.Point{50, 50}, []uint32{100, 100})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Query(q); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -51,28 +51,25 @@ func ExampleAverageClustering() {
 	// Output: 2.000
 }
 
-func ExampleNewIndex() {
-	o, _ := onion.NewOnion2D(256)
-	ix, _ := onion.NewIndex(o)
-	ix.Insert(onion.Point{10, 20})
-	ix.Insert(onion.Point{200, 250})
-	ix.Insert(onion.Point{12, 22})
-	q, _ := onion.RectAt(onion.Point{0, 0}, []uint32{64, 64})
-	ids, _, _ := ix.Query(q)
-	fmt.Printf("%d points found\n", len(ids))
-	// Output: 2 points found
-}
+func ExampleEngine_Nearest() {
+	dir, _ := os.MkdirTemp("", "onion-example")
+	defer os.RemoveAll(dir)
 
-func ExampleIndex_Nearest() {
 	o, _ := onion.NewOnion2D(256)
-	ix, _ := onion.BulkIndex(o, []onion.Point{{10, 10}, {11, 12}, {200, 200}, {14, 9}})
-	ns, _, _ := ix.Nearest(onion.Point{10, 11}, 2)
+	e, _ := onion.OpenEngine(dir, o, onion.EngineOptions{})
+	defer e.Close()
+	for i, p := range []onion.Point{{10, 10}, {11, 12}, {200, 200}, {14, 9}} {
+		e.Put(p, uint64(i))
+	}
+	e.Flush()                     // the points now live in a segment file
+	e.Delete(onion.Point{10, 10}) // a tombstone in the memtable hides one
+	ns, _, _ := e.Nearest(onion.Point{10, 11}, 2)
 	for _, n := range ns {
-		fmt.Printf("%v distSq=%d\n", n.Point, n.DistSq)
+		fmt.Printf("%v payload=%d distSq=%d\n", n.Point, n.Payload, n.DistSq)
 	}
 	// Output:
-	// (10,10) distSq=1
-	// (11,12) distSq=2
+	// (11,12) payload=1 distSq=2
+	// (14,9) payload=3 distSq=20
 }
 
 func ExampleWriteStore() {

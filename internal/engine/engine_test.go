@@ -9,11 +9,13 @@ import (
 	"testing"
 
 	"github.com/onioncurve/onion/internal/baseline"
+	"github.com/onioncurve/onion/internal/cluster"
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/vfs"
 	"github.com/onioncurve/onion/internal/pagedstore"
+	"github.com/onioncurve/onion/internal/vfs"
+	"github.com/onioncurve/onion/internal/workload"
 )
 
 // manualOpts disables all background behavior so tests control the
@@ -252,7 +254,7 @@ func TestEngineCrossCheck(t *testing.T) {
 				recs = append(recs, r)
 			}
 			refPath := filepath.Join(t.TempDir(), "ref.pst")
-			if err := pagedstore.Write(refPath, c, recs, 512); err != nil {
+			if err := pagedstore.Write(vfs.OS{}, refPath, c, recs, nil, 512); err != nil {
 				t.Fatal(err)
 			}
 			ref, err := pagedstore.Open(refPath, c)
@@ -788,5 +790,97 @@ func TestScanDirIgnoresTmp(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "seg-000000000001-000000000001-000.pst")); err != nil {
 		t.Fatal("the real segment was deleted")
+	}
+}
+
+// loadFlushed opens an engine over c in a fresh temp dir, puts pts and
+// flushes them to one segment. The caller closes it.
+func loadFlushed(t *testing.T, c curve.Curve, pts []geom.Point) *Engine {
+	t.Helper()
+	e, err := Open(t.TempDir(), c, manualOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := e.Put(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestEngineSeeksEqualClusteringNumber pins the paper's operational claim
+// on the storage stack: every query plans exactly its clustering number
+// of ranges and pays at most that many seeks on a flushed engine.
+func TestEngineSeeksEqualClusteringNumber(t *testing.T) {
+	const side = 64
+	u := geom.MustUniverse(2, side)
+	o, _ := core.NewOnion2D(side)
+	h, _ := baseline.NewHilbert(2, side)
+	z, _ := baseline.NewMorton(2, side)
+	pts, err := workload.ClusteredPoints(u, 4, 1500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []curve.Curve{o, h, z} {
+		e := loadFlushed(t, c, pts)
+		for trial := 0; trial < 40; trial++ {
+			r := randomRect(rng, u)
+			_, st, err := e.Query(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := cluster.Count(c, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uint64(st.Planned) != want || st.Seeks > st.Planned {
+				t.Fatalf("%s %v: planned %d seeks %d, clustering number %d", c.Name(), r, st.Planned, st.Seeks, want)
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestEngineOnionFewerSeeksThanHilbertOnLargeCubes: on near-full squares
+// the onion curve plans over 3x fewer ranges than Hilbert on a flushed
+// engine, and pays no more seeks in total.
+func TestEngineOnionFewerSeeksThanHilbertOnLargeCubes(t *testing.T) {
+	const side = 64
+	u := geom.MustUniverse(2, side)
+	o, _ := core.NewOnion2D(side)
+	h, _ := baseline.NewHilbert(2, side)
+	pts, err := workload.ClusteredPoints(u, 4, 1500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := workload.RandomTranslates(u, []uint32{side - 7, side - 7}, 30, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := map[string]int{}
+	seeks := map[string]int{}
+	for _, c := range []curve.Curve{o, h} {
+		e := loadFlushed(t, c, pts)
+		for _, q := range qs {
+			_, st, err := e.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			planned[c.Name()] += st.Planned
+			seeks[c.Name()] += st.Seeks
+		}
+		e.Close()
+	}
+	if planned["onion"]*3 > planned["hilbert"] {
+		t.Errorf("near-full squares: onion planned %d ranges vs hilbert %d, expected a >3x win",
+			planned["onion"], planned["hilbert"])
+	}
+	if seeks["onion"] > seeks["hilbert"] {
+		t.Errorf("near-full squares: onion paid %d seeks vs hilbert %d", seeks["onion"], seeks["hilbert"])
 	}
 }

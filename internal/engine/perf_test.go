@@ -11,8 +11,8 @@ import (
 
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/vfs"
 	"github.com/onioncurve/onion/internal/pagedstore"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // TestEngineCacheOnOffIdentical is the acceptance check for the page
@@ -178,7 +178,7 @@ func TestEngineCacheChurn(t *testing.T) {
 		recs = append(recs, r)
 	}
 	refPath := filepath.Join(t.TempDir(), "ref.pst")
-	if err := pagedstore.Write(refPath, c, recs, 512); err != nil {
+	if err := pagedstore.Write(vfs.OS{}, refPath, c, recs, nil, 512); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := pagedstore.Open(refPath, c)

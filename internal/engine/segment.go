@@ -16,8 +16,8 @@ import (
 var ErrDir = errors.New("engine: inconsistent engine directory")
 
 // segment is one immutable, curve-ordered on-disk run: a pagedstore file
-// (version 2, mark bitmap = tombstones) covering the inclusive generation
-// range [lo, hi]. Generations order data age: a segment covering later
+// (mark bitmap = tombstones) covering the inclusive generation range
+// [lo, hi]. Generations order data age: a segment covering later
 // generations holds strictly newer writes, which is what lets the merge
 // resolve duplicate keys by source recency alone, with no per-record
 // sequence numbers on disk. epoch counts in-place rewrites of the same
@@ -130,9 +130,8 @@ func openSegment(fsys vfs.FS, dir string, c curve.Curve, id segID, cache *pageds
 }
 
 // writeSegment materializes sorted entries as the segment id: records
-// plus tombstone marks and the pruning footer in a version-3 pagedstore
-// file, written to a temporary name, synced, then atomically renamed
-// into place.
+// plus tombstone marks in a pagedstore file, written to a temporary name,
+// synced, then atomically renamed into place.
 func writeSegment(fsys vfs.FS, dir string, c curve.Curve, id segID, ents []memEntry, pageBytes int, cache *pagedstore.Cache) (*segment, error) {
 	recs := make([]pagedstore.Record, len(ents))
 	marks := make([]bool, len(ents))
@@ -142,7 +141,7 @@ func writeSegment(fsys vfs.FS, dir string, c curve.Curve, id segID, ents []memEn
 	}
 	path := segPath(dir, id.lo, id.hi, id.epoch)
 	tmp := path + ".tmp"
-	if err := pagedstore.WriteMarkedFS(fsys, tmp, c, recs, marks, pageBytes); err != nil {
+	if err := pagedstore.Write(fsys, tmp, c, recs, marks, pageBytes); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if err := fsys.Rename(tmp, path); err != nil {

@@ -4,7 +4,7 @@
 // write-ahead log and a curve-key-ordered memtable sharded across
 // GOMAXPROCS by an internal/partition partitioner; memtables flush into
 // immutable curve-ordered segment files that reuse the pagedstore page
-// layout (tombstones ride in the version-2 mark bitmap); size-tiered
+// layout (tombstones ride in the mark bitmap); size-tiered
 // background compaction merges segments and garbage-collects tombstones.
 //
 // A rectangle query consults the curve's range planner exactly once, then

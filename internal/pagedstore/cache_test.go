@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/ranges"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // runCursorQuery executes a rectangle query through a cursor, returning
@@ -56,7 +58,7 @@ func equalRecs(t *testing.T, r geom.Rect, got, want []Record) {
 }
 
 // TestCachedStoreBitIdentical is the core cache contract: the same
-// version-3 file opened bare and opened behind a tiny (eviction-stormy)
+// file opened bare and opened behind a tiny (eviction-stormy)
 // cache must answer every query with bit-identical records AND logical
 // Stats, while the cached side's physical page fetches drop below its
 // logical page reads once the working set warms.
@@ -65,7 +67,7 @@ func TestCachedStoreBitIdentical(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, o.Universe(), 4000, 7)
 	path := tmpPath(t)
-	if err := WriteMarked(path, o, recs, make([]bool, len(recs)), 512); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, nil, 512); err != nil {
 		t.Fatal(err)
 	}
 	bare, err := Open(path, o)
@@ -116,10 +118,40 @@ func TestCachedStoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFilterAndFencePruning: on a version-3 store, point lookups for
-// absent keys and ranges that fall in inter-page gaps are answered
-// without any physical read, while the logical Stats stay bit-identical
-// to a version-1 file of the same records.
+// logicalStats is the oracle of the logical accounting: the Stats a
+// bare store pays reading krs, derived from the page index alone. Each
+// range starts at the first page that can hold its low key and visits
+// every page whose first key is at most its high key; a page not
+// adjacent to the previous visit costs a seek, a page shared with the
+// previous range is read once, and every visit scans the whole page.
+// Results is left to the caller.
+func logicalStats(s *Store, krs []curve.KeyRange) Stats {
+	var st Stats
+	last := -2
+	for _, kr := range krs {
+		p := 0
+		for p+1 < len(s.firstKeys) && s.firstKeys[p+1] < kr.Lo {
+			p++
+		}
+		for ; p < len(s.firstKeys) && s.firstKeys[p] <= kr.Hi; p++ {
+			if p != last && p != last+1 {
+				st.Seeks++
+			}
+			if p != last {
+				st.PagesRead++
+				last = p
+			}
+			st.RecordsScanned += s.residentCount(p)
+		}
+	}
+	return st
+}
+
+// TestFilterAndFencePruning: point lookups for absent keys and ranges
+// that fall in inter-page gaps are answered without any physical read,
+// while the logical Stats of every query stay exactly what logicalStats
+// derives from the plan and the page index — pruning never changes the
+// logical accounting.
 func TestFilterAndFencePruning(t *testing.T) {
 	side := uint32(64)
 	o, _ := core.NewOnion2D(side)
@@ -131,46 +163,45 @@ func TestFilterAndFencePruning(t *testing.T) {
 		o.Coords(key, p)
 		recs = append(recs, Record{Point: p.Clone(), Payload: key})
 	}
-	pathV1, pathV3 := tmpPath(t), tmpPath(t)
-	if err := Write(pathV1, o, recs, 512); err != nil {
+	path := tmpPath(t)
+	if err := Write(vfs.OS{}, path, o, recs, nil, 512); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMarked(pathV3, o, recs, make([]bool, len(recs)), 512); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := Open(pathV1, o)
+	s, err := Open(path, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	v3, err := Open(pathV3, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v3.Close()
-	if v3.filter == nil || v3.pageMax == nil {
-		t.Fatal("version-3 store opened without its pruning footer")
+	defer s.Close()
+	check := func(r geom.Rect, want []Record) IOStats {
+		t.Helper()
+		got, gst, gio := runCursorQuery(t, s, r)
+		equalRecs(t, r, got, want)
+		krs, err := ranges.Decompose(o, r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wst := logicalStats(s, krs)
+		wst.Results = len(want)
+		if gst != wst {
+			t.Fatalf("%v: stats %+v, oracle %+v", r, gst, wst)
+		}
+		return gio
 	}
 
 	var pruned int
 	for key := uint64(0); key < u.Size(); key++ {
 		o.Coords(key, p)
 		r := geom.Rect{Lo: p.Clone(), Hi: p.Clone()}
-		want, wst, _ := runCursorQuery(t, v1, r)
-		got, gst, gio := runCursorQuery(t, v3, r)
-		equalRecs(t, r, got, want)
-		if gst != wst {
-			t.Fatalf("key %d: v3 stats %+v != v1 stats %+v", key, gst, wst)
+		var want []Record
+		if key%5 == 0 {
+			want = []Record{{Point: p.Clone(), Payload: key}}
 		}
-		if key%5 != 0 {
-			// Absent key: the Bloom filter (no false negatives on the
-			// present keys is checked above by the record equality) lets
-			// most lookups skip the fetch entirely.
-			if gio.PagesFetched == 0 && gio.CacheHits == 0 {
-				pruned++
-			}
-		} else if len(got) != 1 {
-			t.Fatalf("present key %d returned %d records", key, len(got))
+		gio := check(r, want)
+		// Absent key: the Bloom filter (no false negatives on the present
+		// keys is checked above by the record equality) lets most lookups
+		// skip the fetch entirely.
+		if key%5 != 0 && gio.PagesFetched == 0 && gio.CacheHits == 0 {
+			pruned++
 		}
 	}
 	// With ~10 bits/key the false positive rate is ~1%; demand the
@@ -178,6 +209,22 @@ func TestFilterAndFencePruning(t *testing.T) {
 	absent := int(u.Size()) - len(recs)
 	if pruned < absent*9/10 {
 		t.Fatalf("only %d of %d absent lookups pruned", pruned, absent)
+	}
+
+	// Rectangles: the fences prune leading pages, the accounting stays
+	// the plan's. The expected records come in curve-key order.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		lo := geom.Point{uint32(rng.Intn(int(side))), uint32(rng.Intn(int(side)))}
+		hi := geom.Point{lo[0] + uint32(rng.Intn(int(side-lo[0]))), lo[1] + uint32(rng.Intn(int(side-lo[1])))}
+		r := geom.Rect{Lo: lo, Hi: hi}
+		var want []Record
+		for _, rec := range recs {
+			if r.Contains(rec.Point) {
+				want = append(want, rec)
+			}
+		}
+		check(r, want)
 	}
 }
 
@@ -234,7 +281,7 @@ func TestCachePurgeOnClose(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, o.Universe(), 1000, 5)
 	path := tmpPath(t)
-	if err := WriteMarked(path, o, recs, make([]bool, len(recs)), 512); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, nil, 512); err != nil {
 		t.Fatal(err)
 	}
 	cache := NewCache(1 << 20)
@@ -264,7 +311,7 @@ func TestCachedParallelQueryRace(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, o.Universe(), 5000, 21)
 	path := tmpPath(t)
-	if err := WriteMarked(path, o, recs, make([]bool, len(recs)), 512); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, nil, 512); err != nil {
 		t.Fatal(err)
 	}
 	cache := NewCache(8 * 512)

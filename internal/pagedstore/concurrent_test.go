@@ -1,8 +1,10 @@
 package pagedstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"os"
 	"sort"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/ranges"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // TestParallelQueryRace hammers one open Store from many goroutines at
@@ -22,7 +25,7 @@ func TestParallelQueryRace(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, geom.MustUniverse(2, side), 3000, 99)
 	path := tmpPath(t)
-	if err := Write(path, o, recs, 512); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, nil, 512); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(path, o)
@@ -77,7 +80,7 @@ func TestParallelQueryRace(t *testing.T) {
 }
 
 // TestWriteMarkedRoundTrip: marked records are persisted, reported by the
-// cursor, skipped by Query, and invisible in version-1 files.
+// cursor, and skipped by Query.
 func TestWriteMarkedRoundTrip(t *testing.T) {
 	side := uint32(16)
 	o, _ := core.NewOnion2D(side)
@@ -88,7 +91,7 @@ func TestWriteMarkedRoundTrip(t *testing.T) {
 		marks = append(marks, x%3 == 0)
 	}
 	path := tmpPath(t)
-	if err := WriteMarked(path, o, recs, marks, 256); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, marks, 256); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(path, o)
@@ -152,27 +155,39 @@ func TestWriteMarkedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteMarkedNil: a nil mark slice produces a version-1 file,
-// byte-identical behavior to Write.
+// TestWriteMarkedNil: nil marks and all-false marks produce
+// byte-identical files that report no marks, and a mark count that does
+// not match the records is rejected.
 func TestWriteMarkedNil(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
-	recs := []Record{{Point: geom.Point{1, 2}, Payload: 5}}
+	recs := []Record{{Point: geom.Point{1, 2}, Payload: 5}, {Point: geom.Point{9, 3}, Payload: 6}}
 	p1, p2 := tmpPath(t), tmpPath(t)
-	if err := Write(p1, o, recs, 256); err != nil {
+	if err := Write(vfs.OS{}, p1, o, recs, nil, 256); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMarked(p2, o, recs, nil, 256); err != nil {
+	if err := Write(vfs.OS{}, p2, o, recs, make([]bool, len(recs)), 256); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(p2, o)
+	b1, err := os.ReadFile(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if s2.Marked() {
+	b2, err := os.ReadFile(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Fatal("nil marks and all-false marks wrote different files")
+	}
+	s, err := Open(p1, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Marked() {
 		t.Fatal("nil marks produced a marked store")
 	}
-	if err := WriteMarked(tmpPath(t), o, recs, []bool{true, false}, 256); err == nil {
+	if err := Write(vfs.OS{}, tmpPath(t), o, recs, []bool{true}, 256); err == nil {
 		t.Fatal("mismatched mark count accepted")
 	}
 }
@@ -186,7 +201,7 @@ func TestCursorMatchesQueryStats(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, geom.MustUniverse(2, side), 1200, 3)
 	path := tmpPath(t)
-	if err := Write(path, o, recs, 256); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, nil, 256); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(path, o)

@@ -1,16 +1,19 @@
 package pagedstore
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
-// writeV4 builds a marked (format v4) store and returns its path.
+// writeV4 builds a marked store (format version 4) and returns its path.
 func writeV4(t testing.TB, n int) string {
 	t.Helper()
 	side := uint32(64)
@@ -28,7 +31,7 @@ func writeV4(t testing.TB, n int) string {
 		marks[i] = i%17 == 0
 	}
 	path := filepath.Join(t.TempDir(), "store.pst")
-	if err := WriteMarked(path, o, recs, marks, 256); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, marks, 256); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -138,8 +141,8 @@ func TestV4MetadataCorruptionDetectedAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxOff := int64(40) + 8            // second entry of the page index
-	tailOff := s.dataOff - 8           // last index entry
+	idxOff := int64(40) + 8  // second entry of the page index
+	tailOff := s.dataOff - 8 // last index entry
 	marksOff := s.dataOff + int64(len(s.firstKeys))*int64(s.pageBytes)
 	s.Close()
 
@@ -159,6 +162,83 @@ func TestV4MetadataCorruptionDetectedAtOpen(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// TestMalformedMetadataRejected: edits that a metadata checksum alone
+// would not catch — the file is resealed with a recomputed checksum —
+// still fail Open with ErrCorrupt. Any header version but the current
+// one (the retired formats 1–3 included) is rejected, and so is a
+// non-empty store whose key filter section is empty.
+func TestMalformedMetadataRejected(t *testing.T) {
+	path := writeV4(t, 300)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, _ := core.NewOnion2D(64)
+	s, err := Open(path, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := int64(len(s.firstKeys))
+	marksOff := s.dataOff + pages*int64(s.pageBytes)
+	filterOff := marksOff + int64(s.count+7)/8 + 12*pages
+	s.Close()
+
+	// reseal recomputes the metadata checksum over header, page index
+	// and footer, exactly as Write does.
+	reseal := func(b []byte) []byte {
+		sum := crc32.Update(0, pageCRC, b[:s.dataOff])
+		sum = crc32.Update(sum, pageCRC, b[marksOff:len(b)-4])
+		binary.LittleEndian.PutUint32(b[len(b)-4:], sum)
+		return b
+	}
+	setVersion := func(ver uint32) func() []byte {
+		return func() []byte {
+			b := append([]byte(nil), orig...)
+			binary.LittleEndian.PutUint32(b[8:], ver)
+			return reseal(b)
+		}
+	}
+	cases := []struct {
+		name string
+		file func() []byte
+	}{
+		{"version0", setVersion(0)},
+		{"version1", setVersion(1)},
+		{"version2", setVersion(2)},
+		{"version3", setVersion(3)},
+		{"version5", setVersion(5)},
+		{"empty-filter", func() []byte {
+			b := append([]byte(nil), orig[:filterOff]...)
+			b = append(b, make([]byte, 8+4)...) // k = 0, words = 0, checksum
+			return reseal(b)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := filepath.Join(t.TempDir(), "bad.pst")
+			if err := os.WriteFile(p, tc.file(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := Open(p, o); !errors.Is(err, ErrCorrupt) {
+				if s != nil {
+					s.Close()
+				}
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+	// The reseal itself is sound: the untouched file resealed still opens.
+	p := filepath.Join(t.TempDir(), "same.pst")
+	if err := os.WriteFile(p, reseal(append([]byte(nil), orig...)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(p, o)
+	if err != nil {
+		t.Fatalf("resealed original: %v", err)
+	}
+	s2.Close()
 }
 
 // FuzzVerifyCorrupt flips one byte anywhere in a valid v4 file and

@@ -3,7 +3,7 @@ package pagedstore
 import "encoding/binary"
 
 // keyFilter is a standard Bloom filter over the store's curve keys,
-// persisted in the version-3 segment footer. A negative answer is exact
+// persisted in the store footer. A negative answer is exact
 // (the key is certainly absent), so a point lookup whose key fails the
 // filter can skip the store without touching disk; a positive answer
 // sends the lookup to the page fences as before. Sized at
@@ -55,7 +55,11 @@ func (f *keyFilter) set(key uint64) {
 }
 
 // mayContain reports whether key could be in the set; false is exact.
+// The nil filter of an empty store contains nothing.
 func (f *keyFilter) mayContain(key uint64) bool {
+	if f == nil {
+		return false
+	}
 	for i := uint32(0); i < f.k; i++ {
 		b := f.probe(key, i)
 		if f.words[b/64]&(1<<(b%64)) == 0 {
@@ -65,7 +69,7 @@ func (f *keyFilter) mayContain(key uint64) bool {
 	return true
 }
 
-// marshal renders the filter section of the v3 footer: k, word count,
+// marshal renders the filter section of the footer: k, word count,
 // words, all little endian. A nil filter marshals as an empty section
 // header (k = 0, words = 0).
 func (f *keyFilter) marshal() []byte {
@@ -82,15 +86,16 @@ func (f *keyFilter) marshal() []byte {
 	return out
 }
 
-// unmarshalFilter parses a filter section; it returns nil (no filter)
-// for an empty section and false for a malformed one.
+// unmarshalFilter parses a filter section that must span all of b; it
+// returns nil (no filter) for an empty section and false for a malformed
+// one or trailing bytes.
 func unmarshalFilter(b []byte) (*keyFilter, bool) {
 	if len(b) < 8 {
 		return nil, false
 	}
 	k := binary.LittleEndian.Uint32(b[0:])
 	n := int(binary.LittleEndian.Uint32(b[4:]))
-	if len(b) < 8+8*n {
+	if len(b) != 8+8*n {
 		return nil, false
 	}
 	if k == 0 || n == 0 {

@@ -9,21 +9,18 @@
 // each range to a run of pages via the index, and reads each run with one
 // positioned read — seeks and pages are counted and returned.
 //
-// Format version 2 (historical WriteMarked output) appends a mark bitmap
-// after the pages: one bit per record, in key order. The page layout
-// itself is unchanged. Marks are opaque to this package; the LSM storage
-// engine (internal/engine) uses them as tombstones in its immutable
-// segments. Format version 3 (historical WriteMarked output) additionally
-// appends a pruning footer: a fence table of per-page maximum keys and a
-// Bloom filter over all keys. Format version 4 (current WriteMarked
-// output) extends the footer with integrity checksums: a crc32c per page,
-// verified on every physical page fetch, and a trailing crc32c over all
-// metadata (header, page index, marks, fences, page checksums, filter),
-// verified at open — so any single flipped byte anywhere in a v4 file is
-// detected, either immediately at open or at the first read of the
-// damaged page, and surfaces as ErrCorrupt. Versions 1–3 still open fine:
-// the fences degrade to the page index bounds, the filter to "maybe", and
-// the checksums to "unverified".
+// After the pages come a mark bitmap, one bit per record in key order,
+// and a footer. Marks are opaque to this package; the LSM storage engine
+// (internal/engine) uses them as tombstones in its immutable segments.
+// The footer holds a fence table of per-page maximum keys, a crc32c per
+// page, a Bloom filter over all keys, and a trailing crc32c over all
+// metadata (header, page index, marks, fences, page checksums, filter).
+// The fences and the filter let narrow queries skip pages without
+// touching disk. The metadata checksum is verified at open and each page
+// checksum on every physical fetch, so any single flipped byte anywhere
+// in a file is detected, either immediately at open or at the first read
+// of the damaged page, and surfaces as ErrCorrupt. There is one format
+// version; a file carrying any other version number is ErrCorrupt.
 //
 // Logical vs physical accounting. Stats counts the LOGICAL access
 // pattern: the positioned reads, pages and record scans the query plan
@@ -44,9 +41,9 @@ package pagedstore
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sort"
 	"sync"
 
@@ -59,22 +56,17 @@ import (
 
 const (
 	magic = uint64(0x4f4e494f4e435256) // "ONIONCRV"
-	// version 1: header, page index, pages.
-	// version 2: version 1 plus a mark bitmap (one bit per record, key
-	// order) appended after the pages.
-	// version 3: version 2 plus a pruning footer (per-page max-key
-	// fences and a key Bloom filter) appended after the bitmap.
-	// version 4: version 3 plus integrity checksums (a crc32c per page
-	// between the fences and the filter, and a trailing crc32c over all
-	// metadata).
-	version         = uint32(1)
-	versionMarked   = uint32(2)
-	versionFiltered = uint32(3)
-	versionChecked  = uint32(4)
+	// version is the only format this package reads or writes: header,
+	// page index, pages, mark bitmap, then the footer (fences, page
+	// checksums, key filter, metadata checksum).
+	version = uint32(4)
+	// headerBytes is the fixed header: magic, version, dims, side,
+	// pageBytes, recordCount, pageCount.
+	headerBytes = 8 + 4 + 4 + 4 + 4 + 8 + 8
 )
 
-// pageCRC is the checksum polynomial of the v4 integrity footer —
-// crc32c, hardware-accelerated on every platform Go targets.
+// pageCRC is the checksum polynomial of the integrity footer — crc32c,
+// hardware-accelerated on every platform Go targets.
 var pageCRC = crc32.MakeTable(crc32.Castagnoli)
 
 var (
@@ -110,8 +102,8 @@ type Stats struct {
 // pruning footer have been consulted.
 type IOStats struct {
 	// PagesFetched counts pages read from the file (cache misses
-	// included). Without a cache and without a v3 footer it equals the
-	// logical Stats.PagesRead.
+	// included). It never exceeds the logical Stats.PagesRead: the
+	// footer prunes pages that cannot hold a key of the range.
 	PagesFetched int
 	// CacheHits counts logical page visits served from a Cache.
 	CacheHits int
@@ -142,36 +134,16 @@ func AppendRecord(dst []Record, pt geom.Point, payload uint64) []Record {
 	return append(dst, Record{Point: pt.Clone(), Payload: payload})
 }
 
-// Write bulk-loads records into path, clustered by c. Records may be in
-// any order; they are sorted by curve key. The file is format version 1
-// (no marks, no footer) for compatibility with earlier readers.
-func Write(path string, c curve.Curve, recs []Record, pageBytes int) error {
-	return writeFile(vfs.OS{}, path, c, recs, nil, pageBytes)
-}
-
-// WriteMarked is Write plus a per-record mark bit and the checked
-// pruning footer (format version 4). The page layout is identical to
-// Write's; the marks travel in a bitmap after the pages and are reported
-// by Cursor.Next, the footer carries per-page max-key fences plus a key
-// Bloom filter so narrow queries skip pages — physically, never
-// logically — without touching disk, and the integrity checksums make
-// every byte of the file tamper-evident. Marks are opaque here; the
-// storage engine uses them as tombstones. marked must have one entry per
-// record (a nil marked writes a plain version-1 file).
-func WriteMarked(path string, c curve.Curve, recs []Record, marked []bool, pageBytes int) error {
-	return WriteMarkedFS(vfs.OS{}, path, c, recs, marked, pageBytes)
-}
-
-// WriteMarkedFS is WriteMarked through an explicit filesystem — the seam
-// the storage engine's fault injection drives.
-func WriteMarkedFS(fsys vfs.FS, path string, c curve.Curve, recs []Record, marked []bool, pageBytes int) error {
+// Write bulk-loads records into path on fsys, clustered by c. Records
+// may be in any order; they are sorted by curve key. marked gives each
+// record's mark bit, reported by Cursor.Next and skipped by Query; a nil
+// marked leaves every bit clear, and otherwise it must have one entry
+// per record. Marks are opaque here; the storage engine uses them as
+// tombstones. The file is synced before Write returns.
+func Write(fsys vfs.FS, path string, c curve.Curve, recs []Record, marked []bool, pageBytes int) error {
 	if marked != nil && len(marked) != len(recs) {
 		return fmt.Errorf("pagedstore: %d marks for %d records", len(marked), len(recs))
 	}
-	return writeFile(fsys, path, c, recs, marked, pageBytes)
-}
-
-func writeFile(fsys vfs.FS, path string, c curve.Curve, recs []Record, marked []bool, pageBytes int) error {
 	dims := c.Universe().Dims()
 	rs := recordSize(dims)
 	if pageBytes < rs {
@@ -188,10 +160,7 @@ func writeFile(fsys vfs.FS, path string, c curve.Curve, recs []Record, marked []
 		if !c.Universe().Contains(r.Point) {
 			return fmt.Errorf("pagedstore: point %v outside universe %v", r.Point, c.Universe())
 		}
-		ks[i] = keyed{key: c.Index(r.Point), rec: r}
-		if marked != nil {
-			ks[i].marked = marked[i]
-		}
+		ks[i] = keyed{key: c.Index(r.Point), rec: r, marked: marked != nil && marked[i]}
 	}
 	sort.SliceStable(ks, func(a, b int) bool { return ks[a].key < ks[b].key })
 
@@ -201,42 +170,40 @@ func writeFile(fsys vfs.FS, path string, c curve.Curve, recs []Record, marked []
 		return fmt.Errorf("pagedstore: %w", err)
 	}
 	defer f.Close()
-
-	ver := version
-	if marked != nil {
-		ver = versionChecked
+	// metaSum accumulates the trailing checksum over every byte that is
+	// not page data: the pages carry their own per-page checksums.
+	var metaSum uint32
+	writeMeta := func(b []byte) error {
+		metaSum = crc32.Update(metaSum, pageCRC, b)
+		if _, err := f.Write(b); err != nil {
+			return fmt.Errorf("pagedstore: %w", err)
+		}
+		return nil
 	}
-	// Header: magic, version, dims, side, pageBytes, recordCount, pageCount.
-	head := make([]byte, 8+4+4+4+4+8+8)
+	head := make([]byte, headerBytes)
 	binary.LittleEndian.PutUint64(head[0:], magic)
-	binary.LittleEndian.PutUint32(head[8:], ver)
+	binary.LittleEndian.PutUint32(head[8:], version)
 	binary.LittleEndian.PutUint32(head[12:], uint32(dims))
 	binary.LittleEndian.PutUint32(head[16:], c.Universe().Side())
 	binary.LittleEndian.PutUint32(head[20:], uint32(pageBytes))
 	binary.LittleEndian.PutUint64(head[24:], uint64(len(ks)))
 	binary.LittleEndian.PutUint64(head[32:], uint64(pageCount))
-	if _, err := f.Write(head); err != nil {
-		return fmt.Errorf("pagedstore: %w", err)
+	if err := writeMeta(head); err != nil {
+		return err
 	}
-	// metaSum accumulates the v4 trailing checksum over every byte that
-	// is not page data: the pages carry their own per-page checksums.
-	metaSum := crc32.Update(0, pageCRC, head)
 	// Page index: first key of each page.
 	idx := make([]byte, 8*pageCount)
 	for p := 0; p < pageCount; p++ {
 		binary.LittleEndian.PutUint64(idx[8*p:], ks[p*perPage].key)
 	}
-	if _, err := f.Write(idx); err != nil {
-		return fmt.Errorf("pagedstore: %w", err)
+	if err := writeMeta(idx); err != nil {
+		return err
 	}
-	metaSum = crc32.Update(metaSum, pageCRC, idx)
 	// Pages.
 	buf := make([]byte, pageBytes)
 	crcs := make([]byte, 4*pageCount)
 	for p := 0; p < pageCount; p++ {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		off := 0
 		for i := p * perPage; i < (p+1)*perPage && i < len(ks); i++ {
 			binary.LittleEndian.PutUint64(buf[off:], ks[i].key)
@@ -253,50 +220,40 @@ func writeFile(fsys vfs.FS, path string, c curve.Curve, recs []Record, marked []
 		}
 		binary.LittleEndian.PutUint32(crcs[4*p:], crc32.Checksum(buf, pageCRC))
 	}
-	// Mark bitmap (version >= 2 only), one bit per record in key order.
-	if marked != nil {
-		bm := make([]byte, (len(ks)+7)/8)
-		for i, k := range ks {
-			if k.marked {
-				bm[i/8] |= 1 << (i % 8)
-			}
+	// Mark bitmap, one bit per record in key order.
+	bm := make([]byte, (len(ks)+7)/8)
+	for i, k := range ks {
+		if k.marked {
+			bm[i/8] |= 1 << (i % 8)
 		}
-		if _, err := f.Write(bm); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
-		metaSum = crc32.Update(metaSum, pageCRC, bm)
-		// Pruning footer: per-page max-key fences, the per-page
-		// checksums, the key Bloom filter, then the metadata checksum.
-		fences := make([]byte, 8*pageCount)
-		for p := 0; p < pageCount; p++ {
-			last := (p+1)*perPage - 1
-			if last >= len(ks) {
-				last = len(ks) - 1
-			}
-			binary.LittleEndian.PutUint64(fences[8*p:], ks[last].key)
-		}
-		if _, err := f.Write(fences); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
-		metaSum = crc32.Update(metaSum, pageCRC, fences)
-		if _, err := f.Write(crcs); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
-		metaSum = crc32.Update(metaSum, pageCRC, crcs)
-		keys := make([]uint64, len(ks))
-		for i := range ks {
-			keys[i] = ks[i].key
-		}
-		fb := buildFilter(keys).marshal()
-		if _, err := f.Write(fb); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
-		metaSum = crc32.Update(metaSum, pageCRC, fb)
-		var tail [4]byte
-		binary.LittleEndian.PutUint32(tail[:], metaSum)
-		if _, err := f.Write(tail[:]); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
+	}
+	if err := writeMeta(bm); err != nil {
+		return err
+	}
+	// Footer: per-page max-key fences, the per-page checksums, the key
+	// Bloom filter, then the metadata checksum.
+	fences := make([]byte, 8*pageCount)
+	for p := 0; p < pageCount; p++ {
+		last := min((p+1)*perPage, len(ks)) - 1
+		binary.LittleEndian.PutUint64(fences[8*p:], ks[last].key)
+	}
+	if err := writeMeta(fences); err != nil {
+		return err
+	}
+	if err := writeMeta(crcs); err != nil {
+		return err
+	}
+	keys := make([]uint64, len(ks))
+	for i := range ks {
+		keys[i] = ks[i].key
+	}
+	if err := writeMeta(buildFilter(keys).marshal()); err != nil {
+		return err
+	}
+	var tail [4]byte
+	binary.LittleEndian.PutUint32(tail[:], metaSum)
+	if _, err := f.Write(tail[:]); err != nil {
+		return fmt.Errorf("pagedstore: %w", err)
 	}
 	return f.Sync()
 }
@@ -313,24 +270,20 @@ type Store struct {
 	count     uint64
 	firstKeys []uint64
 	dataOff   int64
-	marks     []byte // version >= 2: one bit per record in key order; nil otherwise
+	marks     []byte // one bit per record in key order
 	anyMarked bool
 
-	// Pruning footer (version 3+; nil/absent for earlier versions).
-	pageMax []uint64   // fence: max key of each page
-	filter  *keyFilter // Bloom filter over all keys
-	// Integrity footer (version 4; nil for earlier versions): crc32c of
-	// every page, verified on each physical fetch.
-	pageSums []uint32
+	pageMax  []uint64   // fence: max key of each page
+	filter   *keyFilter // Bloom filter over all keys; nil for an empty store
+	pageSums []uint32   // crc32c of every page, verified on each physical fetch
 
 	id      uint64 // process-unique cache identity
 	cache   *Cache // shared page cache, nil when uncached
 	curPool sync.Pool
 }
 
-// Open validates the file against the curve and loads the page index
-// (and, for version-3+ files, the pruning footer). The store is
-// uncached; see OpenCached.
+// Open validates the file against the curve and loads the page index and
+// the footer. The store is uncached; see OpenCached.
 func Open(path string, c curve.Curve) (*Store, error) {
 	return OpenCached(path, c, nil)
 }
@@ -344,40 +297,43 @@ func OpenCached(path string, c curve.Curve, cache *Cache) (*Store, error) {
 }
 
 // OpenCachedFS is OpenCached through an explicit filesystem — the seam
-// the storage engine's fault injection drives. For version-4 files every
-// piece of metadata is checksum-verified here, so a corrupted header,
-// page index or footer is rejected as ErrCorrupt before a single record
-// is served; corrupted page data is caught by the per-page checksums at
-// fetch time.
+// the storage engine's fault injection drives. Every piece of metadata
+// is checksum-verified here, so a corrupted header, page index or footer
+// is rejected as ErrCorrupt before a single record is served; corrupted
+// page data is caught by the per-page checksums at fetch time.
 func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("pagedstore: %w", err)
 	}
-	fi, err := f.Stat()
+	s, err := openFile(f, c, cache)
 	if err != nil {
 		f.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// openFile parses and verifies the metadata of an open store file.
+func openFile(f vfs.File, c curve.Curve, cache *Cache) (*Store, error) {
+	fi, err := f.Stat()
+	if err != nil {
 		return nil, fmt.Errorf("pagedstore: %w", err)
 	}
 	fileSize := fi.Size()
-	head := make([]byte, 40)
+	head := make([]byte, headerBytes)
 	if _, err := f.ReadAt(head, 0); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
 	}
 	if binary.LittleEndian.Uint64(head[0:]) != magic {
-		f.Close()
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	ver := binary.LittleEndian.Uint32(head[8:])
-	if ver < version || ver > versionChecked {
-		f.Close()
-		return nil, fmt.Errorf("%w: unsupported version", ErrCorrupt)
+	if ver := binary.LittleEndian.Uint32(head[8:]); ver != version {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
 	dims := int(binary.LittleEndian.Uint32(head[12:]))
 	side := binary.LittleEndian.Uint32(head[16:])
 	if dims != c.Universe().Dims() || side != c.Universe().Side() {
-		f.Close()
 		return nil, fmt.Errorf("%w: file is %dD side %d, curve is %v",
 			ErrMismatch, dims, side, c.Universe())
 	}
@@ -386,126 +342,78 @@ func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store
 	pageCount := binary.LittleEndian.Uint64(head[32:])
 	rs := recordSize(dims)
 	if pageBytes < rs {
-		f.Close()
 		return nil, fmt.Errorf("%w: page bytes %d", ErrCorrupt, pageBytes)
 	}
 	perPage := pageBytes / rs
 	// Structural sanity before any sized allocation: a corrupted count
 	// or page count must be rejected, not trusted as an allocation size.
-	if pageCount > uint64(fileSize)/8 || count > pageCount*uint64(perPage) ||
+	if pageCount > uint64(fileSize)/uint64(pageBytes) || count > pageCount*uint64(perPage) ||
 		(pageCount > 0 && count <= (pageCount-1)*uint64(perPage)) {
-		f.Close()
 		return nil, fmt.Errorf("%w: %d records in %d pages", ErrCorrupt, count, pageCount)
 	}
+	dataOff := int64(headerBytes + 8*pageCount)
+	marksOff := dataOff + int64(pageCount)*int64(pageBytes)
+	markLen := int64(count+7) / 8
+	// Marks, fences, page checksums, the filter's 8-byte section header
+	// and the metadata checksum are the smallest possible remainder.
+	if fileSize < marksOff+markLen+12*int64(pageCount)+8+4 {
+		return nil, fmt.Errorf("%w: short footer", ErrCorrupt)
+	}
 	idx := make([]byte, 8*pageCount)
-	if _, err := f.ReadAt(idx, 40); err != nil {
-		f.Close()
+	if _, err := f.ReadAt(idx, headerBytes); err != nil {
 		return nil, fmt.Errorf("%w: short page index", ErrCorrupt)
 	}
-	firstKeys := make([]uint64, pageCount)
-	for p := range firstKeys {
-		firstKeys[p] = binary.LittleEndian.Uint64(idx[8*p:])
+	rest := make([]byte, fileSize-marksOff)
+	if _, err := f.ReadAt(rest, marksOff); err != nil {
+		return nil, fmt.Errorf("%w: short footer", ErrCorrupt)
 	}
-	dataOff := int64(40 + 8*pageCount)
-	var marks []byte
-	anyMarked := false
-	marksOff := dataOff + int64(pageCount)*int64(pageBytes)
-	if ver >= versionMarked {
-		marks = make([]byte, (count+7)/8)
-		if _, err := f.ReadAt(marks, marksOff); err != nil && count > 0 {
-			f.Close()
-			return nil, fmt.Errorf("%w: short mark bitmap", ErrCorrupt)
-		}
-		for _, b := range marks {
-			if b != 0 {
-				anyMarked = true
-				break
-			}
-		}
+	// Verify the metadata checksum before trusting anything in the
+	// footer (the fences and page sums steer query execution; a silent
+	// flip there would misroute reads).
+	body := rest[:len(rest)-4]
+	sum := crc32.Update(0, pageCRC, head)
+	sum = crc32.Update(sum, pageCRC, idx)
+	sum = crc32.Update(sum, pageCRC, body)
+	if sum != binary.LittleEndian.Uint32(rest[len(body):]) {
+		return nil, fmt.Errorf("%w: metadata checksum mismatch", ErrCorrupt)
 	}
-	var pageMax []uint64
-	var filter *keyFilter
-	var pageSums []uint32
-	// Every version has an exact expected length; trailing bytes mean the
-	// version field itself is suspect (a v4 file whose header rotted down
-	// to v1 must not silently serve its tombstoned records).
-	if ver < versionFiltered && fileSize != marksOff+int64(len(marks)) {
-		f.Close()
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt,
-			fileSize-marksOff-int64(len(marks)))
-	}
-	if ver >= versionFiltered {
-		footOff := marksOff + int64(len(marks))
-		sumLen := int64(0)
-		if ver >= versionChecked {
-			sumLen = 4*int64(pageCount) + 4 // page checksums + metadata checksum
-		}
-		if fileSize < footOff+8*int64(pageCount)+sumLen+8 {
-			f.Close()
-			return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
-		}
-		foot := make([]byte, fileSize-footOff)
-		if _, err := f.ReadAt(foot, footOff); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
-		}
-		filterOff := 8 * pageCount
-		if ver >= versionChecked {
-			// Verify the metadata checksum before trusting anything in
-			// the footer (the fences and page sums steer query
-			// execution; a silent flip there would misroute reads).
-			body := foot[:len(foot)-4]
-			sum := crc32.Update(0, pageCRC, head)
-			sum = crc32.Update(sum, pageCRC, idx)
-			sum = crc32.Update(sum, pageCRC, marks)
-			sum = crc32.Update(sum, pageCRC, body)
-			if sum != binary.LittleEndian.Uint32(foot[len(foot)-4:]) {
-				f.Close()
-				return nil, fmt.Errorf("%w: metadata checksum mismatch", ErrCorrupt)
-			}
-			pageSums = make([]uint32, pageCount)
-			for p := range pageSums {
-				pageSums[p] = binary.LittleEndian.Uint32(foot[filterOff+4*uint64(p):])
-			}
-			filterOff += 4 * pageCount
-			foot = body
-		}
-		pageMax = make([]uint64, pageCount)
-		for p := range pageMax {
-			pageMax[p] = binary.LittleEndian.Uint64(foot[8*p:])
-		}
-		var ok bool
-		filter, ok = unmarshalFilter(foot[filterOff:])
-		if !ok {
-			f.Close()
-			return nil, fmt.Errorf("%w: malformed key filter", ErrCorrupt)
-		}
-		flen := uint64(8)
-		if filter != nil {
-			flen = 8 + 8*uint64(len(filter.words))
-		}
-		if uint64(len(foot)) != filterOff+flen {
-			f.Close()
-			return nil, fmt.Errorf("%w: trailing footer bytes", ErrCorrupt)
-		}
-	}
-	return &Store{
+	marks, foot := body[:markLen], body[markLen:]
+	s := &Store{
 		f:         f,
 		c:         c,
 		dims:      dims,
 		pageBytes: pageBytes,
 		perPage:   perPage,
 		count:     count,
-		firstKeys: firstKeys,
+		firstKeys: make([]uint64, pageCount),
 		dataOff:   dataOff,
-		marks:     marks,
-		anyMarked: anyMarked,
-		pageMax:   pageMax,
-		filter:    filter,
-		pageSums:  pageSums,
+		marks:     append([]byte(nil), marks...),
+		pageMax:   make([]uint64, pageCount),
+		pageSums:  make([]uint32, pageCount),
 		id:        storeIDs.Add(1),
 		cache:     cache,
-	}, nil
+	}
+	for p := range s.firstKeys {
+		s.firstKeys[p] = binary.LittleEndian.Uint64(idx[8*p:])
+		s.pageMax[p] = binary.LittleEndian.Uint64(foot[8*p:])
+		s.pageSums[p] = binary.LittleEndian.Uint32(foot[8*pageCount+4*uint64(p):])
+	}
+	for _, b := range marks {
+		if b != 0 {
+			s.anyMarked = true
+			break
+		}
+	}
+	var ok bool
+	if s.filter, ok = unmarshalFilter(foot[12*pageCount:]); !ok {
+		return nil, fmt.Errorf("%w: malformed key filter", ErrCorrupt)
+	}
+	// Write gives every non-empty store a filter; an empty section on one
+	// would make every point lookup miss.
+	if (s.filter == nil) != (count == 0) {
+		return nil, fmt.Errorf("%w: key filter section does not match %d records", ErrCorrupt, count)
+	}
+	return s, nil
 }
 
 // Marked reports whether any record of the store carries a mark bit.
@@ -541,9 +449,9 @@ func (s *Store) EstimateSeeks(r geom.Rect) (uint64, error) {
 // per cluster range and counting the logical access pattern. The range
 // decomposition routes through the curve's analytic planner when one
 // exists, so planning cost scales with the number of clusters rather than
-// the query surface. Records whose mark bit is set (version >= 2 files)
-// are scanned but not returned. Query is safe to call from many
-// goroutines at once; each call drives its own Cursor.
+// the query surface. Records whose mark bit is set are scanned but not
+// returned. Query is safe to call from many goroutines at once; each call
+// drives its own Cursor.
 func (s *Store) Query(r geom.Rect) ([]Record, Stats, error) {
 	return s.QueryAppend(nil, r)
 }
@@ -588,7 +496,7 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 // tail of one range and the head of the next is read once, and every
 // record of every visited page counts as scanned. That accounting is
 // logical — computed against the in-memory page index — while the page
-// bytes themselves come from the cache, from disk, or (when the v3
+// bytes themselves come from the cache, from disk, or (when the
 // fences prove a visited page holds no key of the range) from nowhere at
 // all; IO reports the physical remainder. Each Cursor owns its page
 // state, so any number of cursors can run over the same Store
@@ -681,10 +589,10 @@ func (c *Cursor) SeekRange(kr curve.KeyRange) {
 	// provably absent, the logical page walk below runs without fetching
 	// a single page.
 	c.skipAll = false
-	if f := c.s.filter; f != nil && kr.Hi-kr.Lo < filterMaxProbe {
+	if kr.Hi-kr.Lo < filterMaxProbe {
 		c.skipAll = true
 		for key := kr.Lo; ; key++ {
-			if f.mayContain(key) {
+			if c.s.filter.mayContain(key) {
 				c.skipAll = false
 				break
 			}
@@ -701,19 +609,6 @@ func (s *Store) residentCount(p int) int {
 		return int(s.count) - p*s.perPage
 	}
 	return s.perPage
-}
-
-// pageMaxBound returns an upper bound on the keys of page p: the exact
-// fence for v3 files, the next page's first key otherwise (keys are
-// globally sorted, so nothing in p exceeds it).
-func (s *Store) pageMaxBound(p int) uint64 {
-	if s.pageMax != nil {
-		return s.pageMax[p]
-	}
-	if p+1 < len(s.firstKeys) {
-		return s.firstKeys[p+1]
-	}
-	return ^uint64(0)
 }
 
 // fetch materializes the bytes of page p into c.data, consulting the
@@ -743,7 +638,7 @@ func (c *Cursor) fetch(p int) error {
 	c.io.PagesFetched++
 	// Verify before admission: the cache must only ever hold pages that
 	// passed their checksum, so a hit never needs re-verification.
-	if s.pageSums != nil && crc32.Checksum(c.buf, pageCRC) != s.pageSums[p] {
+	if crc32.Checksum(c.buf, pageCRC) != s.pageSums[p] {
 		return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 	}
 	if s.cache != nil {
@@ -830,7 +725,7 @@ func (c *Cursor) NextInto(rec *Record) (marked bool, ok bool, err error) {
 		// fence prunes a leading page that ends before lo. A pruned visit
 		// leaves the previously fetched page in place — a later range may
 		// still share it.
-		c.scanning = !c.skipAll && s.pageMaxBound(c.p) >= c.lo
+		c.scanning = !c.skipAll && s.pageMax[c.p] >= c.lo
 		if c.scanning {
 			if err := c.fetch(c.p); err != nil {
 				c.active = false
@@ -846,11 +741,8 @@ func (c *Cursor) NextInto(rec *Record) (marked bool, ok bool, err error) {
 func (c *Cursor) Key() uint64 { return c.key }
 
 // isMarked reports the mark bit of the record at the given key-order
-// position (always false for version-1 files).
+// position.
 func (s *Store) isMarked(i int) bool {
-	if s.marks == nil {
-		return false
-	}
 	return s.marks[i/8]&(1<<(i%8)) != 0
 }
 
@@ -861,7 +753,7 @@ func (s *Store) KeySpan() (lo, hi uint64, ok bool) {
 	if len(s.firstKeys) == 0 {
 		return 0, 0, false
 	}
-	return s.firstKeys[0], s.pageMaxBound(len(s.firstKeys) - 1), true
+	return s.firstKeys[0], s.pageMax[len(s.pageMax)-1], true
 }
 
 // pageReadErr classifies a failed page read. A short read is structural
@@ -877,10 +769,9 @@ func pageReadErr(p int, err error) error {
 
 // VerifyPages scrubs the page data: every page is read straight from the
 // file — bypassing the cache, which may hold a clean copy of a page whose
-// disk bytes have since rotted — and checked against its v4 checksum and
+// disk bytes have since rotted — and checked against its checksum and
 // the global key ordering. The first damaged page is reported as
 // ErrCorrupt; a nil return means every byte of page data on disk is sound.
-// For pre-v4 files only the structural key-order check runs.
 func (s *Store) VerifyPages() error {
 	buf := make([]byte, s.pageBytes)
 	rs := recordSize(s.dims)
@@ -889,7 +780,7 @@ func (s *Store) VerifyPages() error {
 		if _, err := s.f.ReadAt(buf, s.dataOff+int64(p)*int64(s.pageBytes)); err != nil {
 			return pageReadErr(p, err)
 		}
-		if s.pageSums != nil && crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
+		if crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
 			return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 		}
 		for i := 0; i < s.residentCount(p); i++ {
@@ -897,7 +788,7 @@ func (s *Store) VerifyPages() error {
 			if (p > 0 || i > 0) && key < prev {
 				return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 			}
-			if key < s.firstKeys[p] || key > s.pageMaxBound(p) {
+			if key < s.firstKeys[p] || key > s.pageMax[p] {
 				return fmt.Errorf("%w: page %d: key outside page bounds", ErrCorrupt, p)
 			}
 			prev = key
@@ -911,7 +802,7 @@ func (s *Store) VerifyPages() error {
 func (s *Store) Pages() int { return len(s.firstKeys) }
 
 // VerifyPage checks one page directly from disk (bypassing the cache):
-// the v4 checksum, in-page key order, and the page-bounds invariant.
+// the page checksum, in-page key order, and the page-bounds invariant.
 // buf is an optional scratch buffer of at least PageBytes; pass nil to
 // allocate. It runs the same checks VerifyPages does for that page, so a
 // store whose every page passes VerifyPage is clean.
@@ -935,7 +826,7 @@ func (s *Store) PageBytes() int { return s.pageBytes }
 // checkPage validates one materialized page against its checksum and
 // key invariants.
 func (s *Store) checkPage(p int, buf []byte) error {
-	if s.pageSums != nil && crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
+	if crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
 		return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 	}
 	rs := recordSize(s.dims)
@@ -945,7 +836,7 @@ func (s *Store) checkPage(p int, buf []byte) error {
 		if i > 0 && key < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}
-		if key < s.firstKeys[p] || key > s.pageMaxBound(p) {
+		if key < s.firstKeys[p] || key > s.pageMax[p] {
 			return fmt.Errorf("%w: page %d: key outside page bounds", ErrCorrupt, p)
 		}
 		prev = key
@@ -1008,7 +899,7 @@ func SalvageFS(fsys vfs.FS, path string, c curve.Curve) (Salvage, error) {
 		}
 		if pageErr != nil {
 			sv.BadPages++
-			lo, hi := s.firstKeys[p], s.pageMaxBound(p)
+			lo, hi := s.firstKeys[p], s.pageMax[p]
 			if n := len(sv.Damaged); n > 0 && (sv.Damaged[n-1].Hi == ^uint64(0) || lo <= sv.Damaged[n-1].Hi+1) {
 				if hi > sv.Damaged[n-1].Hi {
 					sv.Damaged[n-1].Hi = hi

@@ -13,6 +13,7 @@ import (
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/vfs"
 	"github.com/onioncurve/onion/internal/workload"
 )
 
@@ -40,7 +41,7 @@ func TestWriteOpenQueryRoundTrip(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, u, 2000, 41)
 	path := tmpPath(t)
-	if err := Write(path, o, recs, 512); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, nil, 512); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(path, o)
@@ -112,7 +113,7 @@ func TestQueryAcrossCurves(t *testing.T) {
 	r := geom.Rect{Lo: geom.Point{4, 4}, Hi: geom.Point{27, 25}}
 	for _, c := range []curve.Curve{o, h, z} {
 		path := tmpPath(t)
-		if err := Write(path, c, recs, 256); err != nil {
+		if err := Write(vfs.OS{}, path, c, recs, nil, 256); err != nil {
 			t.Fatal(err)
 		}
 		st, err := Open(path, c)
@@ -139,7 +140,7 @@ func TestQueryAcrossCurves(t *testing.T) {
 func TestEmptyStore(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
 	path := tmpPath(t)
-	if err := Write(path, o, nil, 256); err != nil {
+	if err := Write(vfs.OS{}, path, o, nil, nil, 256); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(path, o)
@@ -160,15 +161,15 @@ func TestValidationErrors(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
 	path := tmpPath(t)
 	// Page too small.
-	if err := Write(path, o, nil, 4); !errors.Is(err, ErrPageBytes) {
+	if err := Write(vfs.OS{}, path, o, nil, nil, 4); !errors.Is(err, ErrPageBytes) {
 		t.Error("tiny page accepted")
 	}
 	// Point outside universe.
-	if err := Write(path, o, []Record{{Point: geom.Point{99, 0}}}, 256); err == nil {
+	if err := Write(vfs.OS{}, path, o, []Record{{Point: geom.Point{99, 0}}}, nil, 256); err == nil {
 		t.Error("outside point accepted")
 	}
 	// Curve mismatch on open.
-	if err := Write(path, o, []Record{{Point: geom.Point{1, 1}}}, 256); err != nil {
+	if err := Write(vfs.OS{}, path, o, []Record{{Point: geom.Point{1, 1}}}, nil, 256); err != nil {
 		t.Fatal(err)
 	}
 	h3, _ := baseline.NewHilbert(3, 16)
@@ -218,10 +219,10 @@ func TestSeeksReflectClustering(t *testing.T) {
 	row := geom.Rect{Lo: geom.Point{0, 7}, Hi: geom.Point{side - 1, 7}}
 	pathRM := tmpPath(t)
 	pathCM := tmpPath(t)
-	if err := Write(pathRM, rm, recs, 256); err != nil {
+	if err := Write(vfs.OS{}, pathRM, rm, recs, nil, 256); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(pathCM, cm, recs, 256); err != nil {
+	if err := Write(vfs.OS{}, pathCM, cm, recs, nil, 256); err != nil {
 		t.Fatal(err)
 	}
 	stRM, err := Open(pathRM, rm)
@@ -259,7 +260,7 @@ func TestDuplicateCells(t *testing.T) {
 		{Point: geom.Point{5, 5}, Payload: 3},
 	}
 	path := tmpPath(t)
-	if err := Write(path, o, recs, 256); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, nil, 256); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := Open(path, o)
@@ -282,7 +283,7 @@ func TestEstimateSeeks(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, u, 3000, 23)
 	path := tmpPath(t)
-	if err := Write(path, o, recs, 512); err != nil {
+	if err := Write(vfs.OS{}, path, o, recs, nil, 512); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(path, o)
@@ -326,7 +327,7 @@ func TestEstimateSeeks(t *testing.T) {
 		t.Fatal(err)
 	}
 	bigPath := tmpPath(t)
-	if err := Write(bigPath, big, []Record{{Point: geom.Point{5, 5, 5}}}, 512); err != nil {
+	if err := Write(vfs.OS{}, bigPath, big, []Record{{Point: geom.Point{5, 5, 5}}}, nil, 512); err != nil {
 		t.Fatal(err)
 	}
 	bs, err := Open(bigPath, big)

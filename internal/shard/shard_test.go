@@ -19,6 +19,7 @@ import (
 	"github.com/onioncurve/onion/internal/pagedstore"
 	"github.com/onioncurve/onion/internal/partition"
 	"github.com/onioncurve/onion/internal/ranges"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // manualShardOpts disables background flush/compaction in every shard so
@@ -286,7 +287,7 @@ func TestShardedCrossCheck(t *testing.T) {
 						}
 					}
 					path := filepath.Join(refDir, "ref-"+string(rune('0'+i))+".pst")
-					if err := pagedstore.Write(path, c, recs, 512); err != nil {
+					if err := pagedstore.Write(vfs.OS{}, path, c, recs, nil, 512); err != nil {
 						t.Fatal(err)
 					}
 					if refs[i], err = pagedstore.Open(path, c); err != nil {

@@ -2,8 +2,8 @@
 // near-optimal clustering (Xu, Nguyen, Tirthapura, ICDE 2018) — together
 // with the classic baseline curves (Hilbert, Z/Morton, Gray-code,
 // row/column-major, snake), exact clustering-number analysis, rectangle
-// range decomposition, the paper's theoretical bounds, and a complete
-// SFC-clustered spatial index with a simulated disk cost model.
+// range decomposition, the paper's theoretical bounds, and a storage
+// stack for curve-keyed data whose query seeks are the clustering number.
 //
 // # Curves
 //
@@ -27,11 +27,13 @@
 // Decompose returns the runs themselves; AverageClustering computes the
 // exact average over all translates of a query shape.
 //
-// # Indexing
+// # Storage
 //
-// NewIndex builds a B+-tree spatial index clustered by any Curve; range
-// queries execute one sequential scan per cluster and report simulated
-// disk costs.
+// OpenEngine opens a mutable storage engine clustered by any Curve; a
+// range query reads one page run per cluster and reports the positioned
+// reads (seeks) and pages it paid, and Engine.Nearest answers k-nearest-
+// neighbor queries on top of it. WriteStore/OpenStore serve frozen data
+// in the same file format, and OpenShardedEngine partitions the key space.
 package onion
 
 import (
@@ -41,10 +43,8 @@ import (
 	"github.com/onioncurve/onion/internal/cluster"
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
-	"github.com/onioncurve/onion/internal/disksim"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/index"
 	"github.com/onioncurve/onion/internal/ingest"
 	"github.com/onioncurve/onion/internal/metrics"
 	"github.com/onioncurve/onion/internal/pagedstore"
@@ -55,6 +55,7 @@ import (
 	"github.com/onioncurve/onion/internal/stats"
 	"github.com/onioncurve/onion/internal/telemetry"
 	"github.com/onioncurve/onion/internal/theory"
+	"github.com/onioncurve/onion/internal/vfs"
 	"github.com/onioncurve/onion/internal/viz"
 )
 
@@ -78,25 +79,16 @@ type (
 	// does, except Peano) decomposes and counts rectangle queries
 	// analytically, in time proportional to the output rather than the
 	// query surface. Custom Curve implementations can provide it to opt
-	// into the same fast path in Decompose, ClusterCount, indexes and
+	// into the same fast path in Decompose, ClusterCount, engines and
 	// stores.
 	RangePlanner = curve.RangePlanner
 	// MergeResult is the outcome of merging ranges under a seek budget.
 	MergeResult = ranges.MergeResult
 	// Summary is a five-number summary plus mean (box-plot statistics).
 	Summary = stats.Summary
-	// Index is an SFC-clustered spatial index over points.
-	Index = index.Index
-	// IndexOption configures NewIndex.
-	IndexOption = index.Option
-	// QueryStats reports the execution profile of an index query.
-	QueryStats = index.QueryStats
-	// Neighbor is one result of a k-nearest-neighbors search.
-	Neighbor = index.Neighbor
-	// DiskModel prices seeks and page transfers.
-	DiskModel = disksim.Model
-	// DiskTally is the access pattern of a query execution.
-	DiskTally = disksim.Tally
+	// Neighbor is one result of Engine.Nearest: a live record and its
+	// squared Euclidean distance to the query point.
+	Neighbor = engine.Neighbor
 	// Partitioner splits a curve's key space into contiguous shards.
 	Partitioner = partition.Partitioner
 	// Spread describes the key-space layout of a query's clusters (the
@@ -503,24 +495,6 @@ func OnionCubeRatio2D() (phi, eta float64) { return theory.MaxEtaOnion2DCube() }
 // OnionCubeRatio3D returns the 3D analogue (3.4 at phi = 0.3967).
 func OnionCubeRatio3D() (phi, eta float64) { return theory.MaxEtaOnion3DCube() }
 
-// NewIndex builds an empty spatial index clustered by c.
-func NewIndex(c Curve, opts ...IndexOption) (*Index, error) { return index.New(c, opts...) }
-
-// BulkIndex builds an index over a static point set in one bottom-up pass
-// with maximally packed B+-tree leaves.
-func BulkIndex(c Curve, pts []Point, opts ...IndexOption) (*Index, error) {
-	return index.Bulk(c, pts, opts...)
-}
-
-// WithTreeOrder sets the index's B+-tree branching factor (default 64).
-func WithTreeOrder(order int) IndexOption { return index.WithTreeOrder(order) }
-
-// WithPageSize sets the simulated disk page size in cells (default 256).
-func WithPageSize(cells uint64) IndexOption { return index.WithPageSize(cells) }
-
-// DefaultDiskModel returns the default seek/transfer cost model.
-func DefaultDiskModel() DiskModel { return disksim.DefaultModel() }
-
 // UniformPartition splits c's key space into k equal shards.
 func UniformPartition(c Curve, k int) (*Partitioner, error) { return partition.Uniform(c, k) }
 
@@ -533,7 +507,7 @@ func WeightedPartition(c Curve, keys []uint64, k int) (*Partitioner, error) {
 // WriteStore bulk-loads records into a disk file physically clustered in
 // curve order; pageBytes is the page size (for example 4096).
 func WriteStore(path string, c Curve, recs []Record, pageBytes int) error {
-	return pagedstore.Write(path, c, recs, pageBytes)
+	return pagedstore.Write(vfs.OS{}, path, c, recs, nil, pageBytes)
 }
 
 // OpenStore opens a clustered store written by WriteStore; the curve must
