@@ -17,7 +17,8 @@ type BatchOp struct {
 	Del     bool
 }
 
-// PutBatch applies ops as one WAL unit: every op is framed into the log
+// PutBatch applies ops as one WAL unit — the engine's only write path;
+// Put and Delete are batches of one. Every op is framed into the log
 // under a single WAL-mutex hold — so the batch occupies one contiguous
 // sequence-number interval in log order — and, with Options.SyncWrites,
 // the whole batch rides one group-commit rendezvous, amortizing a single
@@ -58,42 +59,54 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 	prevN := w.n
 	firstSeq := e.seq + 1
 	var err error
-	for i := range ops {
+	framed := 0
+	for ; framed < len(ops); framed++ {
 		e.seq++
-		if err = w.append(walOp{pt: ops[i].Point, payload: ops[i].Payload, del: ops[i].Del}); err != nil {
+		op := &ops[framed]
+		if err = w.append(walOp{pt: op.Point, payload: op.Payload, del: op.Del}); err != nil {
 			// Frames after a failed append would sit beyond a torn region
-			// recovery cannot cross; stop framing here. The sequence
-			// numbers already assigned are committed below so the
-			// visibility watermark never wedges.
+			// recovery cannot cross; stop framing here.
 			break
 		}
-		if h := e.hook; h != nil {
-			h.Append(e.seq, ops[i])
-		}
+	}
+	if h := e.hook; h != nil && framed > 0 {
+		// The hook gets a copy in walMu-guarded scratch, not ops itself:
+		// ops handed to an interface call would escape, moving every
+		// Put's one-op array to the heap.
+		e.hookOps = append(e.hookOps[:0], ops[:framed]...)
+		h.Append(firstSeq, e.hookOps)
+		clear(e.hookOps) // drop the caller's Points
 	}
 	lastSeq := e.seq
 	pos := w.n
-	if err == nil && e.opts.SyncWrites && e.opts.noGroupCommit {
-		err = e.timedWALSync(w)
-	}
 	e.walMu.Unlock()
-	if err == nil && e.opts.SyncWrites && !e.opts.noGroupCommit {
+	if err == nil && e.opts.SyncWrites {
 		// One rendezvous for the batch: the leader's single fsync covers
 		// every frame up to pos — the whole batch, plus whatever other
-		// writers appended in the window.
+		// writers appended in the window. The e.mu read lock held here
+		// keeps the log from rotating out from under the rendezvous.
 		err = e.groupCommit(w, pos)
 	}
 	if err != nil {
+		// The writes never happened, but their sequence numbers exist:
+		// commit them anyway so the visibility watermark is not wedged
+		// below every later successful write.
 		for s := firstSeq; s <= lastSeq; s++ {
 			e.com.commit(s)
 		}
 		e.mu.RUnlock()
 		if errors.Is(err, ErrWAL) || errors.Is(err, ErrQuorum) {
+			// The log's tail is unknowable, or the batch is durable here
+			// but stranded off a replication quorum: acknowledging any
+			// further write would be lying about durability. Degrade to
+			// ReadOnly — sticky until a guarded recovery.
 			e.degrade(ReadOnly, err)
 			return fmt.Errorf("%w: %w", ErrReadOnly, err)
 		}
 		return err
 	}
+	// The memtable inserts run outside walMu, so concurrent writers
+	// contend only on their keys' shards.
 	mem := e.mem
 	for i := range ops {
 		seq := firstSeq + uint64(i)

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,11 +19,16 @@ func benchOpts() Options {
 
 func benchEngine(b *testing.B, opts Options) *Engine {
 	b.Helper()
+	return benchEngineTelemetry(b, opts, true)
+}
+
+func benchEngineTelemetry(b *testing.B, opts Options, withTelemetry bool) *Engine {
+	b.Helper()
 	o, err := core.NewOnion2D(1 << 9)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := Open(b.TempDir(), o, opts)
+	e, err := open(b.TempDir(), o, opts, withTelemetry)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,34 +108,6 @@ func BenchmarkEngineMixedReadWrite(b *testing.B) {
 	})
 }
 
-// benchSyncIngest drives durable (SyncWrites) puts from at least four
-// concurrent writers — the workload group commit exists for.
-func benchSyncIngest(b *testing.B, noGroup bool) {
-	opts := benchOpts()
-	opts.SyncWrites = true
-	opts.noGroupCommit = noGroup
-	e := benchEngine(b, opts)
-	side := int32(e.c.Universe().Side())
-	if p := (4 + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0); p > 1 {
-		b.SetParallelism(p)
-	}
-	var seq atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(seq.Add(1)))
-		for pb.Next() {
-			pt := geom.Point{uint32(rng.Int31n(side)), uint32(rng.Int31n(side))}
-			if err := e.Put(pt, rng.Uint64()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEngineIngestSyncSolo is the pre-group-commit baseline: every
-// durable write pays its own fsync.
-func BenchmarkEngineIngestSyncSolo(b *testing.B) { benchSyncIngest(b, true) }
-
 // benchSyncIngestProducers drives exactly b.N durable puts split across
 // an explicit number of producer goroutines, each blocking on its own
 // write — the closed-loop synchronous baseline the async ingest pipeline
@@ -166,9 +142,9 @@ func benchSyncIngestProducers(b *testing.B, producers int) {
 }
 
 // BenchmarkEngineIngestSyncGroup batches concurrent durable writes into
-// one flush + fsync per group; the throughput gain over Solo is the
-// number of frames a disk barrier amortizes across, growing with the
-// producer count.
+// one flush + fsync per group. p1 is the solo baseline — one writer, so
+// every write pays its own fsync; the gain at higher producer counts is
+// the number of frames a disk barrier amortizes across.
 func BenchmarkEngineIngestSyncGroup(b *testing.B) {
 	for _, p := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) { benchSyncIngestProducers(b, p) })
@@ -183,17 +159,18 @@ func BenchmarkEngineIngestSyncGroup(b *testing.B) {
 // the budget could not absorb.
 func BenchmarkEngineQueryCached(b *testing.B) { benchQueryCached(b, false) }
 
-// BenchmarkEngineQueryCachedNoTelemetry is the identical workload with
-// metric recording compiled out (Options.noTelemetry): the delta against
-// BenchmarkEngineQueryCached is the true hot-path cost of telemetry,
-// which CI gates at 5%. Both variants must stay at 0 allocs/op.
+// BenchmarkEngineQueryCachedNoTelemetry is the identical workload on an
+// engine opened without metric recording (open's withTelemetry): the
+// delta against BenchmarkEngineQueryCached is the true hot-path cost of
+// telemetry, which CI gates at 5%. Both variants must stay at 0
+// allocs/op.
 func BenchmarkEngineQueryCachedNoTelemetry(b *testing.B) { benchQueryCached(b, true) }
 
 func benchQueryCached(b *testing.B, noTelemetry bool) {
 	for _, budget := range []int64{0, 256 << 10, 8 << 20} {
 		b.Run(fmt.Sprintf("cache=%d", budget), func(b *testing.B) {
-			e := benchEngine(b, Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1,
-				CacheBytes: budget, noTelemetry: noTelemetry})
+			e := benchEngineTelemetry(b, Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1,
+				CacheBytes: budget}, !noTelemetry)
 			side := int32(e.c.Universe().Side())
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 100_000; i++ {

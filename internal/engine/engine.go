@@ -36,8 +36,10 @@ type Options struct {
 	// memtable holds this many versions (default 1 << 16; negative
 	// disables automatic flushing — Flush must be called explicitly).
 	FlushEntries int
-	// SyncWrites fsyncs the WAL on every Put/Delete before acknowledging.
-	// Off by default: group durability is available through Sync.
+	// SyncWrites makes every Put, Delete and PutBatch durable before it is
+	// acknowledged: concurrent writers share one group-commit fsync per
+	// commit window. Off by default: group durability is available
+	// through Sync. A non-nil CommitHook turns it on.
 	SyncWrites bool
 	// Shards is the number of memtable shards (default GOMAXPROCS).
 	Shards int
@@ -73,20 +75,11 @@ type Options struct {
 	// checks Verify performs), quarantining corruption before a query
 	// trips over it. 0 disables the scrubber.
 	ScrubPagesPerSec int
-	// CommitHook, when non-nil, observes every framed op and gates the
-	// group-commit rendezvous on the hook's Commit — the seam WAL
-	// replication hangs off. See the CommitHook contract; it is only
-	// meaningful together with SyncWrites.
+	// CommitHook, when non-nil, observes every framed batch and wraps the
+	// group-commit fsync in the hook's Commit — the seam WAL replication
+	// hangs off. See the CommitHook contract. Setting it implies
+	// SyncWrites: Commit runs only at the group-commit rendezvous.
 	CommitHook CommitHook
-
-	// noGroupCommit reverts SyncWrites to one fsync per write — the
-	// pre-group-commit behavior, kept for benchmark baselines.
-	noGroupCommit bool
-
-	// noTelemetry disables hot-path metric recording (the registry stays,
-	// empty). Unexported: only the benchmark baseline that quantifies the
-	// telemetry overhead sets it.
-	noTelemetry bool
 
 	// Background-failure backoff: a failed background flush or compaction
 	// is retried retryAttempts times with exponential delay from
@@ -109,6 +102,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactFanout == 0 {
 		o.CompactFanout = 4
+	}
+	if o.CommitHook != nil {
+		o.SyncWrites = true
 	}
 	if o.retryBase == 0 {
 		o.retryBase = 10 * time.Millisecond
@@ -207,9 +203,9 @@ type Engine struct {
 	scrub  atomic.Bool // a query hit ErrCorrupt; background Verify pending
 
 	// reg/events/tel are the observability layer (telemetry.go): reg and
-	// events are always non-nil after Open; tel is nil only under the
-	// benchmark-only noTelemetry option, and every hot-path record site
-	// guards on that.
+	// events are always non-nil after Open; tel is nil only for an engine
+	// opened without telemetry (open's withTelemetry), and every hot-path
+	// record site guards on that.
 	reg    *telemetry.Registry
 	events *telemetry.Events
 	tel    *engineTelemetry
@@ -219,6 +215,9 @@ type Engine struct {
 	seq   uint64 // last assigned sequence number (under walMu)
 	com   committer
 	hook  CommitHook // replication seam; nil for a standalone engine
+	// hookOps is the scratch copy of a batch handed to hook.Append
+	// (under walMu).
+	hookOps []BatchOp
 
 	// mu guards the engine's structure: memtable identity, segment list,
 	// closed flag. Writers and queries hold it shared; flush, compaction
@@ -250,6 +249,13 @@ type Engine struct {
 // so exactly the acknowledged writes survive — and immediately flushed to
 // a fresh segment.
 func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
+	return open(dir, c, opts, true)
+}
+
+// open is Open with hot-path metric recording optional: withTelemetry
+// false leaves the registry empty, the baseline the telemetry-overhead
+// benchmark measures against.
+func open(dir string, c curve.Curve, opts Options, withTelemetry bool) (*Engine, error) {
 	opts = opts.withDefaults()
 	fsys := vfs.Or(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -266,7 +272,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 	}
 	e.reg = telemetry.NewRegistry()
 	e.events = telemetry.NewEvents(0)
-	if !opts.noTelemetry {
+	if withTelemetry {
 		e.tel = newEngineTelemetry(e.reg)
 		// Export the cache only when this engine created it: a shared
 		// cache (Options.Cache) is exported once by whoever owns it, so
@@ -476,90 +482,18 @@ func (e *Engine) memEntries() int64 {
 
 // Put inserts or overwrites the record at point p. The write is
 // acknowledged after it is framed into the WAL and inserted into the
-// memtable; with Options.SyncWrites it is also fsynced first.
+// memtable; with Options.SyncWrites it is also fsynced first. It is a
+// PutBatch of one op.
 func (e *Engine) Put(p geom.Point, payload uint64) error {
-	return e.write(p, payload, false)
+	ops := [1]BatchOp{{Point: p, Payload: payload}}
+	return e.PutBatch(ops[:])
 }
 
 // Delete removes the record at point p (a blind tombstone write: deleting
 // an absent point is not an error, matching LSM semantics).
 func (e *Engine) Delete(p geom.Point) error {
-	return e.write(p, 0, true)
-}
-
-func (e *Engine) write(p geom.Point, payload uint64, del bool) error {
-	if !e.c.Universe().Contains(p) {
-		return fmt.Errorf("%w: %v in %v", ErrPoint, p, e.c.Universe())
-	}
-	if Health(e.health.state.Load()) >= ReadOnly {
-		return e.readOnlyErr()
-	}
-	key := e.c.Index(p)
-	e.mu.RLock()
-	if e.closed || e.closing {
-		e.mu.RUnlock()
-		return ErrClosed
-	}
-	// Sequence numbers are assigned under walMu so WAL order equals
-	// sequence order; the memtable insert happens outside it so concurrent
-	// writers contend only on their key's shard.
-	e.walMu.Lock()
-	e.seq++
-	seq := e.seq
-	w := e.wal
-	prevN := w.n
-	err := w.append(walOp{pt: p, payload: payload, del: del})
-	pos := w.n
-	if err == nil {
-		if h := e.hook; h != nil {
-			h.Append(seq, BatchOp{Point: p, Payload: payload, Del: del})
-		}
-	}
-	if err == nil && e.opts.SyncWrites && e.opts.noGroupCommit {
-		err = e.timedWALSync(w)
-	}
-	e.walMu.Unlock()
-	if err == nil && e.opts.SyncWrites && !e.opts.noGroupCommit {
-		// Group commit: wait until a single batched flush + fsync covers
-		// this frame. The caller still holds e.mu.RLock, so the log
-		// cannot rotate out from under the rendezvous.
-		err = e.groupCommit(w, pos)
-	}
-	if err != nil {
-		// The write never happened (the caller gets the error), but its
-		// sequence number exists: commit it anyway so the visibility
-		// watermark is not wedged below every later successful write.
-		e.com.commit(seq)
-		e.mu.RUnlock()
-		if errors.Is(err, ErrWAL) || errors.Is(err, ErrQuorum) {
-			// The log's tail is unknowable (failed append, failed fsync,
-			// or a group-commit batch poisoned by either), or the batch
-			// is durable here but stranded off a replication quorum:
-			// acknowledging any further write would be lying about
-			// durability. Degrade to ReadOnly — sticky until a guarded
-			// recovery — and surface the transition on this error, cause
-			// attached.
-			e.degrade(ReadOnly, err)
-			return fmt.Errorf("%w: %w", ErrReadOnly, err)
-		}
-		return err
-	}
-	mem := e.mem
-	mem.put(key, p, payload, seq, del)
-	e.com.commit(seq)
-	entries := mem.entries.Load()
-	e.mu.RUnlock()
-	if tel := e.tel; tel != nil {
-		tel.walAppends.Inc()
-		tel.walAppendBytes.Add(uint64(pos - prevN))
-	}
-	if e.opts.FlushEntries > 0 && entries >= int64(e.opts.FlushEntries) {
-		select {
-		case e.bg <- struct{}{}:
-		default:
-		}
-	}
-	return nil
+	ops := [1]BatchOp{{Point: p, Del: true}}
+	return e.PutBatch(ops[:])
 }
 
 // groupCommit blocks until the log is durably synced past pos — the byte
@@ -604,41 +538,18 @@ func (e *Engine) groupCommit(w *wal, pos int64) error {
 		seqTarget := e.seq
 		err := w.flushBuf()
 		e.walMu.Unlock()
-		tel := e.tel
-		if err == nil {
-			if h, ok := e.hook.(PreCommitHook); ok {
-				// Overlap the replicas' barriers with ours: the batch is
-				// fully framed in the OS buffer, so the hook can start
-				// shipping it now and Commit below finds the quorum acks
-				// already (or nearly) in place.
-				h.PreCommit(seqTarget)
-			}
-		}
-		if err == nil {
-			var syncStart time.Time
-			if tel != nil {
-				syncStart = time.Now()
-			}
-			if serr := w.f.Sync(); serr != nil {
-				err = fmt.Errorf("%w: %w", ErrWAL, serr)
-				e.walMu.Lock()
-				w.failed = true
-				e.walMu.Unlock()
-			} else if tel != nil {
-				tel.walFsyncs.Inc()
-				tel.walFsyncUS.Record(uint64(time.Since(syncStart).Microseconds()))
-			}
-		}
 		if err == nil {
 			if h := e.hook; h != nil {
-				// Replication rides the same rendezvous: the batch this
-				// fsync covered is released only once it is also durable
-				// on a quorum, so the single round-trip amortizes over
-				// the whole pile exactly like the single disk barrier. A
-				// hook failure poisons the log like a failed fsync — the
-				// local tail is fine, but acks would overstate
-				// replication.
-				err = h.Commit(seqTarget)
+				// Replication rides the same rendezvous: the hook wraps
+				// the fsync, so the batch is released only once it is
+				// durable here and on a quorum, and the single round-trip
+				// amortizes over the whole pile exactly like the single
+				// disk barrier. A hook failure poisons the log like a
+				// failed fsync — the local tail may be fine, but acks
+				// would overstate replication.
+				err = h.Commit(seqTarget, func() error { return e.fsyncWAL(w) })
+			} else {
+				err = e.fsyncWAL(w)
 			}
 		}
 
@@ -654,7 +565,7 @@ func (e *Engine) groupCommit(w *wal, pos int64) error {
 			// The batch this single fsync made durable is every frame
 			// appended since the previous watermark — the group-commit
 			// batch size distribution.
-			if tel != nil && targetFrames > g.syncedFrames {
+			if tel := e.tel; tel != nil && targetFrames > g.syncedFrames {
 				tel.walBatch.Record(uint64(targetFrames - g.syncedFrames))
 			}
 			g.synced = target
@@ -662,6 +573,28 @@ func (e *Engine) groupCommit(w *wal, pos int64) error {
 		}
 		g.wake.Broadcast()
 	}
+}
+
+// fsyncWAL is the group-commit leader's disk barrier: it fsyncs the
+// already-flushed log outside walMu, so appends keep buffering while the
+// disk syncs. A failure latches the log as failed.
+func (e *Engine) fsyncWAL(w *wal) error {
+	tel := e.tel
+	var start time.Time
+	if tel != nil {
+		start = time.Now()
+	}
+	if err := w.f.Sync(); err != nil {
+		e.walMu.Lock()
+		w.failed = true
+		e.walMu.Unlock()
+		return fmt.Errorf("%w: %w", ErrWAL, err)
+	}
+	if tel != nil {
+		tel.walFsyncs.Inc()
+		tel.walFsyncUS.Record(uint64(time.Since(start).Microseconds()))
+	}
+	return nil
 }
 
 // Sync makes every previously acknowledged write durable. A failed sync
@@ -1042,7 +975,7 @@ func (e *Engine) flushLocked() error {
 		}
 		newMem, err := newMemtable(e.c, e.opts.Shards, e.gen)
 		if err != nil {
-			newWal.close() //nolint:errcheck
+			newWal.close()                     //nolint:errcheck
 			e.fs.Remove(walPath(e.dir, e.gen)) //nolint:errcheck
 			e.mu.Unlock()
 			return err

@@ -20,43 +20,36 @@ var ErrQuorum = errors.New("engine: replication quorum lost")
 // CommitHook observes the engine's durable write path — the seam a
 // replication layer hangs off. The contract mirrors the WAL itself:
 //
-//   - Append is invoked under the engine's WAL mutex, once per framed
-//     op, in sequence order — exactly the order the frames occupy in the
-//     log. The op's Point aliases the caller's buffer; a hook that
-//     retains it must clone. Append must not block on I/O or call back
-//     into the engine: it runs on the write hot path.
+//   - Append is invoked under the engine's WAL mutex, once per batch
+//     (Put and Delete are batches of one), with the batch's ops in log
+//     order; op i holds sequence number first+i, so every batch occupies
+//     one contiguous interval. The slice and the ops' Points alias the
+//     caller's buffers and are valid only during the call; a hook that
+//     retains an op must encode or clone it. Append must not block on
+//     I/O or call back into the engine: it runs on the write hot path.
+//     A batch whose WAL append fails midway passes only its framed
+//     prefix, and the engine turns ReadOnly.
 //
-//   - Commit is invoked by the group-commit leader after its fsync, with
-//     the highest sequence number the fsync covered, and blocks the
-//     release of that whole batch until it returns. A replication hook
-//     returns nil once every appended op with seq <= the argument is
-//     durable on a quorum, making a synchronous ack mean "fsynced on a
-//     majority" — one local fsync and one quorum round-trip per batch.
-//     Returning an error (conventionally wrapping ErrQuorum) poisons the
-//     rendezvous exactly as a failed fsync does: every waiter fails, the
-//     engine turns ReadOnly, and recovery requires a log rotation.
+//   - Commit is invoked by the group-commit leader once the batch's
+//     frames are flushed to the OS, with the highest sequence number the
+//     commit covers, and blocks the release of that whole batch until it
+//     returns. sync is the leader's local disk barrier: Commit must call
+//     it exactly once and return its error if it fails. The engine with
+//     no hook just calls sync. A replication hook starts shipping the
+//     batch, calls sync — so the replicas' log barriers overlap the
+//     local one — and returns nil once every appended op with seq <= the
+//     argument is durable on a quorum, making a synchronous ack mean
+//     "fsynced on a majority": one local fsync and one quorum round-trip
+//     per batch. Returning an error (conventionally wrapping ErrQuorum)
+//     poisons the rendezvous exactly as a failed fsync does: every
+//     waiter fails, the engine turns ReadOnly, and recovery requires a
+//     log rotation.
 //
-// Commit only runs on the SyncWrites group-commit path; an engine
-// without SyncWrites never calls it, so replication requires synchronous
-// writes.
+// Commit runs at the SyncWrites group-commit rendezvous, so installing a
+// hook (Options.CommitHook) turns SyncWrites on.
 type CommitHook interface {
-	Append(seq uint64, op BatchOp)
-	Commit(seq uint64) error
-}
-
-// PreCommitHook is an optional CommitHook extension. When the hook
-// implements it, the group-commit leader invokes PreCommit after the
-// batch's frames are flushed to the OS buffer but before its fsync,
-// with the same sequence target the following Commit will carry. A
-// replication hook uses the window to start shipping the batch, so the
-// followers' log fsyncs run concurrently with the leader's own instead
-// of being chained after it — the quorum round then costs roughly the
-// slower of the two barriers, not their sum. PreCommit must not block
-// on the quorum outcome (Commit does that) and must tolerate the batch
-// subsequently failing the local fsync: nothing shipped ahead of
-// durability is acknowledged until Commit succeeds.
-type PreCommitHook interface {
-	PreCommit(seq uint64)
+	Append(first uint64, ops []BatchOp)
+	Commit(seq uint64, sync func() error) error
 }
 
 // EncodeOp appends the WAL payload encoding of op to dst and returns the

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/onioncurve/onion/internal/curve"
@@ -15,21 +16,15 @@ import (
 )
 
 // Hook is the engine.CommitHook a leader engine is opened with. It is
-// created unbound (Append buffers, Commit acknowledges immediately —
-// single-node behavior) so the engine can be opened before the Group
-// exists; LeadEngine binds it. Bind before serving writes: buffered
-// appends are replayed into the group at bind time, but commits that
-// already returned were not quorum-checked.
+// created unbound so the engine can be opened before the Group exists;
+// Lead, LeadEngine and Promote bind it before the group serves writes.
+// An unbound hook replicates nothing — Append drops the batch, Commit
+// only runs the local barrier — and needs nothing more: a write made
+// before binding leaves the engine's LastSeq above zero, so the group
+// seeds every peer with a snapshot that holds it.
 type Hook struct {
-	mu      sync.Mutex
-	g       *Group
-	dims    int
-	pending []pendingOp
-}
-
-type pendingOp struct {
-	seq uint64
-	op  []byte
+	g    atomic.Pointer[Group]
+	dims int
 }
 
 // NewHook returns an unbound commit hook for dims-dimensional points.
@@ -37,54 +32,33 @@ func NewHook(dims int) *Hook {
 	return &Hook{dims: dims}
 }
 
-// Append implements engine.CommitHook. It runs under the engine's WAL
-// mutex: encode and hand off, nothing blocking.
-func (h *Hook) Append(seq uint64, op engine.BatchOp) {
-	h.mu.Lock()
-	g := h.g
+// Append implements engine.CommitHook: one replication entry per op. It
+// runs under the engine's WAL mutex: encode and hand off, nothing
+// blocking.
+func (h *Hook) Append(first uint64, ops []engine.BatchOp) {
+	g := h.g.Load()
 	if g == nil {
-		h.pending = append(h.pending, pendingOp{seq, engine.EncodeOp(nil, op, h.dims)})
-		h.mu.Unlock()
 		return
 	}
-	h.mu.Unlock()
-	g.appendOp(seq, engine.EncodeOp(nil, op, h.dims))
-}
-
-// PreCommit implements engine.PreCommitHook: it fires the batch at the
-// followers while the leader's own fsync is still in flight, so the two
-// log barriers overlap. Fire-and-forget — Commit below collects (or
-// redoes) the acks.
-func (h *Hook) PreCommit(seq uint64) {
-	h.mu.Lock()
-	g := h.g
-	h.mu.Unlock()
-	if g != nil {
-		g.preShip(seq)
+	for i := range ops {
+		g.appendOp(first+uint64(i), engine.EncodeOp(nil, ops[i], h.dims))
 	}
 }
 
-// Commit implements engine.CommitHook: it blocks the group-commit
-// rendezvous until every entry the batch covers is durable on a quorum.
-func (h *Hook) Commit(seq uint64) error {
-	h.mu.Lock()
-	g := h.g
-	h.mu.Unlock()
+// Commit implements engine.CommitHook: it fires the batch at the
+// followers, runs the leader's own barrier while their log fsyncs are in
+// flight, then blocks the group-commit rendezvous until every entry the
+// batch covers is durable on a quorum.
+func (h *Hook) Commit(seq uint64, sync func() error) error {
+	g := h.g.Load()
 	if g == nil {
-		return nil
+		return sync()
+	}
+	g.preShip(seq)
+	if err := sync(); err != nil {
+		return err
 	}
 	return g.commitSeq(seq)
-}
-
-func (h *Hook) bind(g *Group) {
-	h.mu.Lock()
-	pending := h.pending
-	h.pending = nil
-	h.g = g
-	h.mu.Unlock()
-	for _, p := range pending {
-		g.appendOp(p.seq, p.op)
-	}
 }
 
 type histEntry struct {
@@ -252,7 +226,7 @@ func newGroup(eng *engine.Engine, dir string, hook *Hook, cfg Config, init group
 	if init.failover {
 		g.tel.failovers.Inc()
 	}
-	hook.bind(g)
+	hook.g.Store(g)
 	g.wg.Add(1)
 	go g.catchUpLoop()
 	if init.seedPeers {
@@ -404,9 +378,9 @@ func (g *Group) commitSeq(seq uint64) error {
 }
 
 // preShip starts streaming every entry at or below the engine sequence
-// seq to all peers without waiting for the outcome. It runs in the
-// group-commit leader's pre-fsync window: by the time the local barrier
-// lands and commitSeq asks for the quorum, the followers' fsyncs have
+// seq to all peers without waiting for the outcome. Commit runs it
+// before the leader's local barrier: by the time the barrier lands and
+// commitSeq asks for the quorum, the followers' fsyncs have
 // (mostly) already happened, so the commit round finds the acks in
 // place instead of chaining a full replica round-trip after the local
 // one. Re-shipping is idempotent — the per-peer send lock serializes

@@ -11,13 +11,14 @@ import (
 
 // leadEngineCluster wires followers plus a LeadEngine-led leader whose
 // engine is opened by the test (the shard.OpenReplicated shape), so the
-// engine's real options and cfg.Engine can differ.
+// engine's real options and cfg.Engine can differ. preBind, when
+// non-nil, writes through the engine while its hook is still unbound.
 type leadEngineCluster struct {
 	*cluster
 	eng *engine.Engine
 }
 
-func newLeadEngineCluster(t *testing.T, followers int, opts engine.Options, cfg Config) *leadEngineCluster {
+func newLeadEngineCluster(t *testing.T, followers int, opts engine.Options, cfg Config, preBind func(*engine.Engine)) *leadEngineCluster {
 	t.Helper()
 	cl := &cluster{t: t, c: rtCurve(t), lb: NewLoopback()}
 	cl.tr = NewInjectingTransport(cl.lb)
@@ -35,12 +36,14 @@ func newLeadEngineCluster(t *testing.T, followers int, opts engine.Options, cfg 
 	lc := &leadEngineCluster{cluster: cl}
 	hook := NewHook(cl.c.Universe().Dims())
 	opts.CommitHook = hook
-	opts.SyncWrites = true
 	eng, err := engine.Open(filepath.Join(base, "leader"), cl.c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lc.eng = eng
+	if preBind != nil {
+		preBind(eng)
+	}
 	cfg.ID = "leader"
 	cfg.Peers = cl.ids
 	cfg.Transport = cl.tr
@@ -316,7 +319,7 @@ func TestSeedRefreshReadsEngineRetention(t *testing.T) {
 		RetryBase:          time.Millisecond,
 		RetryCap:           2 * time.Millisecond,
 		RetryAttempts:      2,
-	})
+	}, nil)
 	e := lc.eng
 
 	seedRound := func(round, from, to int) uint64 {

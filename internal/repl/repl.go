@@ -88,8 +88,9 @@ type Config struct {
 	// Quorum is how many replicas (leader included) must hold a batch
 	// durably before it acknowledges. Default: majority of 1+len(Peers).
 	Quorum int
-	// Engine tunes the leader engine for Lead and Promote (SyncWrites is
-	// forced on — replication rides the group-commit path).
+	// Engine tunes the leader engine for Lead and Promote. Its
+	// CommitHook is the group's own, which turns SyncWrites on:
+	// replication rides the group-commit path.
 	Engine engine.Options
 	// HistoryEntries bounds the in-memory resend window. A follower
 	// whose ack falls behind the window is caught up by snapshot seed
@@ -150,7 +151,6 @@ func (c Config) withDefaults() Config {
 	if c.CatchUpInterval <= 0 {
 		c.CatchUpInterval = 10 * time.Millisecond
 	}
-	c.Engine.SyncWrites = true
 	return c
 }
 

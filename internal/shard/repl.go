@@ -24,10 +24,11 @@ type Replicated struct {
 
 // OpenReplicated opens a sharded engine with per-shard replication.
 // cfg(i) supplies shard i's replication config (peer ids, transport,
-// quorum, retry shape); SyncWrites is forced on for every shard engine,
-// since a quorum ack is only meaningful on top of a durable local
-// append. Reopening a directory that already led an epoch requires a
-// higher cfg(i).Epoch, the same fencing rule repl.LeadEngine enforces;
+// quorum, retry shape). Every shard engine gets a commit hook, which
+// turns its SyncWrites on: a quorum ack is only meaningful on top of a
+// durable local append. Reopening a directory that already led an
+// epoch requires a higher cfg(i).Epoch, the same fencing rule
+// repl.LeadEngine enforces;
 // the reopened shards' followers are re-seeded by snapshot at open,
 // since the reopened replication index namespace restarts at zero and a
 // follower's old-epoch log cannot attest to anything in it.
@@ -39,7 +40,6 @@ func OpenReplicated(dir string, c curve.Curve, opts Options, cfg func(shard int)
 		hooks[i] = repl.NewHook(dims)
 	}
 	opts.CommitHook = func(i int) engine.CommitHook { return hooks[i] }
-	opts.Engine.SyncWrites = true
 	s, err := Open(dir, c, opts)
 	if err != nil {
 		return nil, err
